@@ -690,6 +690,18 @@ func compareReports(oldR, newR benchReport, opts compareOpts) (warnings, failure
 	return warnings, failures
 }
 
+// gomaxprocsChange describes a GOMAXPROCS difference between the two
+// reports ("old N -> new M"), or returns "" when they match or either
+// report predates the field. A mismatch is a warning, not a failure: the
+// committed baseline is a 1-proc run that CI compares against multi-core
+// runners, so parallel paths legitimately time differently.
+func gomaxprocsChange(oldR, newR benchReport) string {
+	if oldR.GOMAXPROCS == 0 || newR.GOMAXPROCS == 0 || oldR.GOMAXPROCS == newR.GOMAXPROCS {
+		return ""
+	}
+	return fmt.Sprintf("old %d -> new %d", oldR.GOMAXPROCS, newR.GOMAXPROCS)
+}
+
 // mergeReports overlays a fresh run onto a previous record so one file
 // can carry tiers produced by separate invocations (quick figures on
 // every PR, the -full occupancy sweep nightly). Figure timings merge by
@@ -752,6 +764,9 @@ func runCompare(args []string) int {
 	}
 	fmt.Printf("compare %s -> %s: tier %s, tolerance %.0f%%, fail ratio %.2gx\n",
 		oldPath, newPath, opts.tier, opts.tolerancePct, opts.failRatio)
+	if change := gomaxprocsChange(oldR, newR); change != "" {
+		fmt.Printf("::warning title=bench gomaxprocs::%s\n", change)
+	}
 	for _, w := range warnings {
 		// GitHub Actions renders ::warning:: as a PR annotation; locally it
 		// is just a greppable prefix.

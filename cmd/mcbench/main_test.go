@@ -120,6 +120,36 @@ func TestRunCompareInjected2xSlowdown(t *testing.T) {
 	}
 }
 
+// A GOMAXPROCS difference between the reports is named but never fails
+// the gate; reports without the field compare silently.
+func TestCompareWarnsOnGomaxprocsChange(t *testing.T) {
+	if got := gomaxprocsChange(benchReport{GOMAXPROCS: 1}, benchReport{GOMAXPROCS: 4}); got != "old 1 -> new 4" {
+		t.Fatalf("mismatch described as %q", got)
+	}
+	for _, pair := range [][2]int{{2, 2}, {0, 4}, {4, 0}} {
+		if got := gomaxprocsChange(benchReport{GOMAXPROCS: pair[0]}, benchReport{GOMAXPROCS: pair[1]}); got != "" {
+			t.Fatalf("gomaxprocs %v: unexpected warning %q", pair, got)
+		}
+	}
+	dir := t.TempDir()
+	oldPath := filepath.Join(dir, "old.json")
+	newPath := filepath.Join(dir, "new.json")
+	if err := os.WriteFile(oldPath, []byte(`{"gomaxprocs":1,"figures":[{"id":"fig5","wall_ms":1000}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(newPath, []byte(`{"gomaxprocs":4,"figures":[{"id":"fig5","wall_ms":1000}],"micro":[
+		{"name":"AllocateHybridBatch16","ns_per_op":400},
+		{"name":"SAPDecodeZeroCopy","ns_per_op":40,"allocs_per_op":0},
+		{"name":"UDPRecvBatch","ns_per_op":450,"allocs_per_op":0},
+		{"name":"CheckpointJournalAppend","ns_per_op":500},
+		{"name":"CheckpointSnapshotLegacy","ns_per_op":50000}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := runCompare([]string{oldPath, newPath}); code != 0 {
+		t.Fatalf("gomaxprocs mismatch failed the gate: exit %d", code)
+	}
+}
+
 // budgetReport is a report that satisfies every absolute budget.
 func budgetReport() benchReport {
 	return benchReport{

@@ -15,7 +15,6 @@ import (
 	"sessiondir/internal/clash"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/obs"
-	"sessiondir/internal/par"
 	"sessiondir/internal/sap"
 	"sessiondir/internal/session"
 	"sessiondir/internal/stats"
@@ -121,12 +120,6 @@ type Config struct {
 	// steady announcement interval or live sessions become flood-evictable
 	// between re-announcements.
 	StaleAfter time.Duration
-	// Shards stripes the listened-session cache into per-origin shards
-	// (0 or 1 = a single shard, the unsharded layout). Sharding changes
-	// scaling, never behaviour: all order-sensitive mutations stay
-	// serialised under the directory mutex, and a seeded run replays
-	// bit-identically at any shard count (see DESIGN.md §17).
-	Shards int
 	// Seed drives the randomised choices (0 = arbitrary fixed seed).
 	Seed uint64
 	// OnEvent, if set, receives observability events synchronously; it
@@ -199,7 +192,7 @@ type Directory struct {
 	mu      sync.Mutex
 	rng     *stats.RNG
 	owned   map[string]*ownedSession
-	cache   *announce.Sharded
+	cache   *announce.Cache
 	admit   *admission.Controller
 	tracker *clash.Tracker
 	epoch   time.Time
@@ -272,11 +265,7 @@ type dirInstruments struct {
 	announcementsSent *obs.Counter
 	deletionsSent     *obs.Counter
 	packetsReceived   *obs.Counter
-	// packetsMalformed is striped: the batched receive path bumps it from
-	// the parallel parse phase, one stripe per worker, and the registry
-	// folds the stripes back into the single dir_packets_malformed_total
-	// name every consumer already scrapes.
-	packetsMalformed *obs.ShardedCounter
+	packetsMalformed  *obs.Counter
 	sessionsLearned   *obs.Counter
 	sessionsExpired   *obs.Counter
 	clashMoves        *obs.Counter
@@ -306,6 +295,7 @@ func newDirInstruments(r *obs.Registry) (dirInstruments, error) {
 		{&ins.announcementsSent, "dir_announcements_sent_total", "SAP announcements transmitted (own + defended)"},
 		{&ins.deletionsSent, "dir_deletions_sent_total", "SAP deletions transmitted"},
 		{&ins.packetsReceived, "dir_packets_received_total", "well-formed SAP packets processed"},
+		{&ins.packetsMalformed, "dir_packets_malformed_total", "undecodable packets or payloads dropped"},
 		{&ins.sessionsLearned, "dir_sessions_learned_total", "distinct sessions (or new versions) cached"},
 		{&ins.sessionsExpired, "dir_sessions_expired_total", "cached sessions that timed out"},
 		{&ins.clashMoves, "dir_clash_moves_total", "phase-2 address moves of our own sessions"},
@@ -326,12 +316,6 @@ func newDirInstruments(r *obs.Registry) (dirInstruments, error) {
 		}
 		*c.dst = m
 	}
-	sc, err := r.ShardedCounter("dir_packets_malformed_total",
-		"undecodable packets or payloads dropped", par.Workers(0))
-	if err != nil {
-		return ins, err
-	}
-	ins.packetsMalformed = sc
 	h, err := r.Histogram("dir_packet_size_bytes", "received datagram sizes, pre-decode", packetSizeBounds)
 	if err != nil {
 		return ins, err
@@ -355,8 +339,8 @@ func (d *Directory) registerGauges() error {
 			return float64(len(d.owned))
 		}},
 		{"dir_cache_sessions", "listened-session cache occupancy, tombstones included", func() float64 {
-			// Lock-free: the sharded cache mirrors per-shard totals in
-			// atomics, so a scrape storm cannot contend with the packet path.
+			d.mu.Lock()
+			defer d.mu.Unlock()
 			return float64(d.cache.Size())
 		}},
 		{"dir_admission_origins", "origins tracked by the per-origin rate limiter", func() float64 {
@@ -492,7 +476,7 @@ func New(cfg Config) (*Directory, error) {
 		alloc: alloc,
 		rng:   stats.NewRNG(seed),
 		owned: make(map[string]*ownedSession),
-		cache: announce.NewSharded(cfg.CacheTimeout, cfg.Shards),
+		cache: announce.NewCache(cfg.CacheTimeout),
 		epoch: cfg.Clock(),
 		reg:   reg,
 		trace: cfg.Trace,
@@ -524,8 +508,8 @@ func New(cfg Config) (*Directory, error) {
 	cfg.Transport.Subscribe(d.onPacket)
 	if bs, ok := cfg.Transport.(transport.BatchSubscriber); ok {
 		// Transports that retire whole receive batches (UDP's recvmmsg
-		// loop) hand them to the epoch-batched path: parse in parallel,
-		// apply serially in arrival order under one lock epoch.
+		// loop) hand them to the epoch-batched path: parse the batch,
+		// then apply it in arrival order under one lock epoch.
 		bs.SubscribeBatch(d.HandleBatch)
 	}
 	return d, nil
@@ -784,22 +768,21 @@ type parsedPacket struct {
 
 // parsePacket is the pure pre-lock half of the receive path: decode,
 // payload-type check, SDP parse, and the pre-decode observability
-// (size histogram, malformed stripe). Safe to run concurrently across a
-// batch; stripe spreads the malformed counter's contention.
-func (d *Directory) parsePacket(data []byte, stripe int) parsedPacket {
+// (size histogram, malformed counter).
+func (d *Directory) parsePacket(data []byte) parsedPacket {
 	d.ins.packetBytes.Observe(int64(len(data)))
 	var p parsedPacket
 	if err := p.pkt.DecodeMaybeCompressed(data); err != nil {
-		d.ins.packetsMalformed.Inc(stripe)
+		d.ins.packetsMalformed.Inc()
 		return p // malformed packets are dropped silently, as SAP requires
 	}
 	if p.pkt.EffectivePayloadType() != sap.PayloadTypeSDP {
-		d.ins.packetsMalformed.Inc(stripe)
+		d.ins.packetsMalformed.Inc()
 		return p
 	}
 	desc, err := session.ParseSDP(p.pkt.Payload)
 	if err != nil {
-		d.ins.packetsMalformed.Inc(stripe)
+		d.ins.packetsMalformed.Inc()
 		return p
 	}
 	p.desc = desc
@@ -811,7 +794,7 @@ func (d *Directory) parsePacket(data []byte, stripe int) parsedPacket {
 // receive buffer is released as soon as the apply phase returns; nothing
 // parsed out of it aliases the buffer (see parsedPacket).
 func (d *Directory) onPacket(m transport.Message) {
-	p := d.parsePacket(m.Data, 0)
+	p := d.parsePacket(m.Data)
 	d.mu.Lock()
 	d.applyParsedLocked(&p)
 	d.mu.Unlock()
@@ -819,30 +802,19 @@ func (d *Directory) onPacket(m transport.Message) {
 	d.flush()
 }
 
-// batchParseMin is the smallest receive batch worth fanning the parse
-// phase across workers; below it the handoff costs more than the SDP
-// parses it overlaps.
-const batchParseMin = 8
-
-// HandleBatch is the epoch-batched receive path: the parse phase runs
-// across the whole batch first (in parallel when the batch is big
-// enough), then one lock epoch applies the parsed packets serially in
-// arrival order. Applying in arrival order is what preserves the
+// HandleBatch is the epoch-batched receive path: the whole batch is
+// parsed outside the lock, then one lock epoch applies the parsed
+// packets in arrival order. Applying in arrival order preserves the
 // bit-identical replay contract — the protocol state transitions and RNG
 // draws are exactly those of len(ms) sequential onPacket calls — while
-// the parse fan-out and the single lock acquisition per batch buy the
-// throughput.
+// the single lock acquisition per batch buys the throughput.
 func (d *Directory) HandleBatch(ms []transport.Message) {
 	if len(ms) == 0 {
 		return
 	}
 	parsed := make([]parsedPacket, len(ms))
-	if len(ms) >= batchParseMin {
-		par.For(0, len(ms), func(i int) { parsed[i] = d.parsePacket(ms[i].Data, i) })
-	} else {
-		for i := range ms {
-			parsed[i] = d.parsePacket(ms[i].Data, i)
-		}
+	for i := range ms {
+		parsed[i] = d.parsePacket(ms[i].Data)
 	}
 	d.mu.Lock()
 	for i := range parsed {
@@ -1004,7 +976,7 @@ func (d *Directory) admitNewLocked(desc *session.Description, now time.Time) boo
 	if d.cfg.MaxSessions <= 0 && d.cfg.MaxPerOrigin <= 0 {
 		return true
 	}
-	dec := d.admit.PlanNewGrouped(d.candidatesLocked(), desc.Origin, now)
+	dec := d.admit.PlanNew(d.candidatesLocked(), desc.Origin, now)
 	for _, k := range dec.Evict {
 		d.cache.Remove(k)
 		d.tracker.Forget(clash.SessionKey(k))
@@ -1025,31 +997,26 @@ func (d *Directory) admitNewLocked(desc *session.Description, now time.Time) boo
 	return true
 }
 
-// candidatesLocked builds the admission view of the cache, one group per
-// shard. Own sessions are excluded: they are never eviction candidates.
-// Group and intra-group order are irrelevant — the grouped planners
-// impose a total deterministic order of their own, so budget accounting
-// is exact at any shard count.
-func (d *Directory) candidatesLocked() [][]admission.Candidate {
-	grouped := d.cache.AllGrouped()
-	groups := make([][]admission.Candidate, len(grouped))
-	for i, entries := range grouped {
-		cands := make([]admission.Candidate, 0, len(entries))
-		for _, e := range entries {
-			if e.Desc.Origin == d.cfg.Origin || d.owned[e.Desc.Key()] != nil {
-				continue
-			}
-			cands = append(cands, admission.Candidate{
-				Key:       e.Desc.Key(),
-				Origin:    e.Desc.Origin,
-				TTL:       e.Desc.TTL,
-				LastHeard: e.LastHeard,
-				Deleted:   e.Deleted,
-			})
+// candidatesLocked builds the admission view of the cache. Own sessions
+// are excluded: they are never eviction candidates. Order is irrelevant
+// (the cache walks a map) — the planners impose a total deterministic
+// order of their own.
+func (d *Directory) candidatesLocked() []admission.Candidate {
+	entries := d.cache.All()
+	cands := make([]admission.Candidate, 0, len(entries))
+	for _, e := range entries {
+		if e.Desc.Origin == d.cfg.Origin || d.owned[e.Desc.Key()] != nil {
+			continue
 		}
-		groups[i] = cands
+		cands = append(cands, admission.Candidate{
+			Key:       e.Desc.Key(),
+			Origin:    e.Desc.Origin,
+			TTL:       e.Desc.TTL,
+			LastHeard: e.LastHeard,
+			Deleted:   e.Deleted,
+		})
 	}
-	return groups
+	return cands
 }
 
 // applyActionsLocked executes clash protocol reactions.
@@ -1203,7 +1170,7 @@ func (d *Directory) registerLoadedLocked(now time.Time) {
 	// grown) must trim deterministically, not over-admit — and evicted
 	// entries must never reach the clash tracker.
 	if d.cfg.MaxSessions > 0 || d.cfg.MaxPerOrigin > 0 {
-		for _, k := range d.admit.TrimPlanGrouped(d.candidatesLocked()) {
+		for _, k := range d.admit.TrimPlan(d.candidatesLocked()) {
 			d.cache.Remove(k)
 			d.ins.evictions.Inc()
 			d.trace.Record(obs.TraceEvent{At: d.ms(now), Kind: obs.TraceEvict, Key: k})

@@ -206,42 +206,52 @@ func sorted(s []string) []string {
 	return out
 }
 
-// The grouped planner entry points exist so the sharded cache can hand
-// over per-shard candidate groups without a caller-side flatten; they
-// must be exactly equivalent to the flat planners on the concatenation —
-// budget accounting across shards may not drift by a single session.
-func TestGroupedPlannersMatchFlat(t *testing.T) {
+// The directory hands the planners its cache's map-ordered entries, so
+// both planners must reach the identical decision — outcome and the exact
+// eviction sequence — under any permutation of the same candidates.
+func TestPlannersIgnoreCandidateOrder(t *testing.T) {
 	now := time.Unix(50000, 0)
-	mk := func(i int) Candidate {
-		return Candidate{
-			Key:       fmt.Sprintf("10.0.%d.%d/%d", i%7, i%13, i),
-			Origin:    netip.AddrFrom4([4]byte{10, 0, byte(i % 7), byte(i % 13)}),
-			TTL:       127,
+	var cands []Candidate
+	for i := 0; i < 150; i++ {
+		cands = append(cands, Candidate{
+			Key:       fmt.Sprintf("10.0.%d.0/%d", i%7, i),
+			Origin:    netip.AddrFrom4([4]byte{10, 0, byte(i % 7), 0}),
+			TTL:       mcast.TTL(1 + i%3*63),
 			LastHeard: now.Add(-time.Duration(i%40) * time.Minute),
 			Deleted:   i%11 == 0,
+		})
+	}
+	newOrigin := netip.AddrFrom4([4]byte{10, 0, 3, 0})
+	configs := []Config{
+		{MaxSessions: 60, MaxPerOrigin: 12, StaleAfter: 10 * time.Minute}, // budget evicts
+		{MaxPerOrigin: 3, StaleAfter: 10 * time.Minute},                   // quota reclaims the origin's stale entries
+		{MaxSessions: 100, StaleAfter: time.Hour},                         // tombstones only, then sheds
+	}
+	rng := stats.NewRNG(12)
+	for ci, cfg := range configs {
+		ctrl := New(cfg)
+		want := ctrl.PlanNew(cands, newOrigin, now)
+		wantTrim := ctrl.TrimPlan(cands)
+		for trial := 0; trial < 20; trial++ {
+			perm := append([]Candidate(nil), cands...)
+			rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+			got := ctrl.PlanNew(perm, newOrigin, now)
+			if got.Outcome != want.Outcome || fmt.Sprint(got.Evict) != fmt.Sprint(want.Evict) {
+				t.Fatalf("config %d trial %d: PlanNew %v/%v, want %v/%v",
+					ci, trial, got.Outcome, got.Evict, want.Outcome, want.Evict)
+			}
+			if got := ctrl.TrimPlan(perm); fmt.Sprint(got) != fmt.Sprint(wantTrim) {
+				t.Fatalf("config %d trial %d: TrimPlan %v, want %v", ci, trial, got, wantTrim)
+			}
+			cut := rng.IntN(len(perm) + 1)
+			grouped := ctrl.PlanNewGrouped([][]Candidate{perm[:cut], nil, perm[cut:]}, newOrigin, now)
+			if grouped.Outcome != want.Outcome || fmt.Sprint(grouped.Evict) != fmt.Sprint(want.Evict) {
+				t.Fatalf("config %d trial %d: PlanNewGrouped %v/%v, want %v/%v",
+					ci, trial, grouped.Outcome, grouped.Evict, want.Outcome, want.Evict)
+			}
 		}
-	}
-	var flat []Candidate
-	var groups [][]Candidate
-	for g := 0; g < 5; g++ {
-		var grp []Candidate
-		for i := 0; i < 30; i++ {
-			c := mk(g*30 + i)
-			grp = append(grp, c)
-			flat = append(flat, c)
+		if len(want.Evict) == 0 || (ci == 2) != (want.Outcome == Shed) {
+			t.Fatalf("config %d: %v evicting %v; the case is not exercising the planner", ci, want.Outcome, want.Evict)
 		}
-		groups = append(groups, grp)
-	}
-	groups = append(groups, nil) // empty shard
-
-	ctrl := New(Config{MaxSessions: 60, MaxPerOrigin: 12, StaleAfter: 10 * time.Minute})
-	newOrigin := netip.AddrFrom4([4]byte{10, 0, 3, 9})
-	want := ctrl.PlanNew(flat, newOrigin, now)
-	got := ctrl.PlanNewGrouped(groups, newOrigin, now)
-	if want.Outcome != got.Outcome || fmt.Sprint(want.Evict) != fmt.Sprint(got.Evict) {
-		t.Fatalf("PlanNewGrouped diverges: %v/%v vs %v/%v", got.Outcome, got.Evict, want.Outcome, want.Evict)
-	}
-	if w, g := ctrl.TrimPlan(flat), ctrl.TrimPlanGrouped(groups); fmt.Sprint(w) != fmt.Sprint(g) {
-		t.Fatalf("TrimPlanGrouped diverges: %v vs %v", g, w)
 	}
 }

@@ -135,8 +135,7 @@ func adSize(d *session.Description) int {
 }
 
 // Cache is the listened-session store. It is not safe for concurrent use;
-// the directory agent serialises access (or wraps shards of it in
-// Sharded, which adds the striped locking).
+// the directory agent serialises access under its own mutex.
 type Cache struct {
 	entries map[string]*Entry
 	// live and adBytes are running totals over non-deleted entries,
@@ -241,9 +240,7 @@ func (c *Cache) Len() int { return c.live }
 // Expire evicts entries unheard for Timeout (and deleted entries unheard
 // for Timeout/10), returning the evicted keys in sorted order. The sort
 // matters: expiry order reaches the trace, the event stream, and the
-// journal, all of which must replay identically from a seed, and it is
-// what lets a sharded cache's per-shard expiries merge into the same
-// sequence the unsharded cache produces.
+// journal, all of which must replay identically from a seed.
 func (c *Cache) Expire(now time.Time) []string {
 	var evicted []string
 	for key, e := range c.entries { //mclint:maporder evictions are sorted before returning
@@ -268,7 +265,7 @@ func (c *Cache) Expire(now time.Time) []string {
 // unspecified); the admission layer builds eviction candidates from it.
 func (c *Cache) All() []*Entry {
 	out := make([]*Entry, 0, len(c.entries))
-	for _, e := range c.entries { //mclint:maporder consumers are order-insensitive or sort (see Sharded doc)
+	for _, e := range c.entries { //mclint:maporder consumers are order-insensitive or sort (admission planners, Save)
 		out = append(out, e)
 	}
 	return out
@@ -277,7 +274,7 @@ func (c *Cache) All() []*Entry {
 // Live returns all live entries (iteration order unspecified).
 func (c *Cache) Live() []*Entry {
 	out := make([]*Entry, 0, len(c.entries))
-	for _, e := range c.entries { //mclint:maporder consumers are order-insensitive or sort (see Sharded doc)
+	for _, e := range c.entries { //mclint:maporder consumers are order-insensitive or sort (admission planners, Save)
 		if !e.Deleted {
 			out = append(out, e)
 		}
@@ -286,8 +283,7 @@ func (c *Cache) Live() []*Entry {
 }
 
 // CountFresh counts live entries heard within staleAfter of now — the
-// degradation tiers' pressure signal. The count is commutative over
-// entries, so per-shard counts sum to exactly this scan's result.
+// degradation tiers' pressure signal.
 func (c *Cache) CountFresh(now time.Time, staleAfter time.Duration) int {
 	fresh := 0
 	for _, e := range c.entries { //mclint:maporder commutative count

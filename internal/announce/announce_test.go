@@ -1,12 +1,15 @@
 package announce
 
 import (
+	"fmt"
 	"math"
 	"net/netip"
+	"sort"
 	"testing"
 	"time"
 
 	"sessiondir/internal/session"
+	"sessiondir/internal/stats"
 )
 
 func desc(id uint64, version uint64) *session.Description {
@@ -159,5 +162,82 @@ func TestCacheLiveAndTotalBytes(t *testing.T) {
 	}
 	if got := c.TotalAdBytes(); got < 50 || got > 1000 {
 		t.Fatalf("TotalAdBytes = %d", got)
+	}
+}
+
+// odesc builds a description from a chosen origin host, so a workload
+// can spread keys over many announcers (desc pins one origin).
+func odesc(hostOctet byte, id, version uint64) *session.Description {
+	return &session.Description{
+		ID:      id,
+		Version: version,
+		Origin:  netip.AddrFrom4([4]byte{10, 0, 0, hostOctet}),
+		Name:    fmt.Sprintf("s-%d-%d", hostOctet, id),
+		Group:   netip.AddrFrom4([4]byte{224, 2, 128, byte(id)}),
+		TTL:     127,
+		Media:   []session.Media{{Type: "audio", Port: 1000, Proto: "RTP/AVP", Format: "0"}},
+	}
+}
+
+// The incremental Size/Len/TotalAdBytes accounting must equal a
+// from-scratch recount over the entries after every mutation — the
+// admission budget and the bandwidth schedule trust the O(1) totals.
+// The name is kept from the striped cache this oracle first ran
+// against; it now checks the one Cache.
+func TestShardedAccountingMatchesRecount(t *testing.T) {
+	c := NewCache(time.Hour)
+	rng := stats.NewRNG(7)
+	now := time.Unix(2000, 0)
+	for step := 0; step < 3000; step++ {
+		host := byte(rng.IntN(9))
+		id := uint64(rng.IntN(25))
+		key := fmt.Sprintf("10.0.0.%d/%d", host, id)
+		now = now.Add(time.Duration(rng.IntN(200)) * time.Second)
+		switch rng.IntN(10) {
+		case 0:
+			c.Delete(key, now)
+		case 1:
+			c.Remove(key)
+		case 2:
+			if evicted := c.Expire(now); !sort.StringsAreSorted(evicted) {
+				t.Fatalf("step %d: expiry order not sorted: %v", step, evicted)
+			}
+		case 3:
+			// A persisted copy, possibly older or a newer version.
+			last := now.Add(-time.Duration(rng.IntN(7200)) * time.Second)
+			c.Restore(odesc(host, id, uint64(rng.IntN(step+1))), last.Add(-time.Minute), last, now)
+		default:
+			c.Observe(odesc(host, id, uint64(step)), now)
+		}
+		size, live, adBytes := 0, 0, 0
+		for _, e := range c.All() {
+			size++
+			if !e.Deleted {
+				live++
+				adBytes += adSize(e.Desc)
+			}
+		}
+		if c.Size() != size || c.Len() != live || c.TotalAdBytes() != adBytes {
+			t.Fatalf("step %d: incremental size=%d len=%d adbytes=%d, recount size=%d len=%d adbytes=%d",
+				step, c.Size(), c.Len(), c.TotalAdBytes(), size, live, adBytes)
+		}
+	}
+}
+
+// Expire returns its keys sorted — the order reaches eviction events
+// and traces, so it must not follow the map's iteration order. Like
+// the recount oracle, the name is kept from the striped cache.
+func TestShardedExpireSorted(t *testing.T) {
+	c := NewCache(time.Minute)
+	now := time.Unix(3000, 0)
+	for host := byte(1); host <= 12; host++ {
+		c.Observe(odesc(host, uint64(host), 1), now)
+	}
+	evicted := c.Expire(now.Add(time.Hour))
+	if len(evicted) != 12 {
+		t.Fatalf("evicted %d of 12", len(evicted))
+	}
+	if !sort.StringsAreSorted(evicted) {
+		t.Fatalf("evictions not sorted: %v", evicted)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -28,19 +29,22 @@ import (
 
 const cacheHeader = "sdcache v1"
 
-// Save writes all live entries to w.
+// Save writes all live entries to w in sorted key order, so a
+// checkpoint's bytes are a pure function of the cache's contents.
 func (c *Cache) Save(w io.Writer) error {
-	return saveEntries(w, c.Live())
-}
-
-// saveEntries writes the v1 cache format for the given entries; shared
-// by the flat cache (map order) and the sharded cache (sorted order).
-func saveEntries(w io.Writer, entries []*Entry) error {
+	keys := make([]string, 0, c.live)
+	for k, e := range c.entries { //mclint:maporder keys are sorted before use
+		if !e.Deleted {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, cacheHeader); err != nil {
 		return err
 	}
-	for _, e := range entries {
+	for _, k := range keys {
+		e := c.entries[k]
 		data, err := e.Desc.MarshalSDP()
 		if err != nil {
 			continue // skip invalid cached descriptions
@@ -58,13 +62,6 @@ func saveEntries(w io.Writer, entries []*Entry) error {
 // relative to now (per the cache timeout) are skipped; fresher in-memory
 // state wins over stale disk state. Returns the number of entries loaded.
 func (c *Cache) Load(r io.Reader, now time.Time) (int, error) {
-	return loadEntries(r, c.Restore, now)
-}
-
-// loadEntries parses the v1 cache format, handing each decoded entry to
-// restore (Cache.Restore or the sharded equivalent) and counting the
-// ones it reports as newly added.
-func loadEntries(r io.Reader, restore func(desc *session.Description, first, last, now time.Time) bool, now time.Time) (int, error) {
 	br := bufio.NewReader(r)
 	header, err := br.ReadString('\n')
 	if err != nil {
@@ -102,7 +99,7 @@ func loadEntries(r io.Reader, restore func(desc *session.Description, first, las
 		if err != nil {
 			continue // a corrupt entry should not poison the rest
 		}
-		if restore(desc, time.Unix(first, 0), time.Unix(last, 0), now) {
+		if c.Restore(desc, time.Unix(first, 0), time.Unix(last, 0), now) {
 			loaded++
 		}
 	}

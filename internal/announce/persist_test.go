@@ -142,3 +142,29 @@ func TestCacheSaveLoadManyEntries(t *testing.T) {
 		t.Fatalf("len=%d", fresh.Len())
 	}
 }
+
+// Save writes in key order, so two caches holding the same entries
+// produce byte-identical snapshots whatever order they learned them in.
+func TestCacheSaveBytesIndependentOfInsertOrder(t *testing.T) {
+	now := time.Unix(900000000, 0)
+	save := func(ids []uint64) []byte {
+		c := NewCache(time.Hour)
+		for _, id := range ids {
+			c.Observe(odesc(byte(id%5+1), id, 1), now)
+		}
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ids := make([]uint64, 40)
+	rev := make([]uint64, 40)
+	for i := range ids {
+		ids[i] = uint64(i + 1)
+		rev[len(rev)-1-i] = uint64(i + 1)
+	}
+	if !bytes.Equal(save(ids), save(rev)) {
+		t.Fatal("snapshot bytes depend on insertion order")
+	}
+}

@@ -34,31 +34,6 @@ func Workers(requested int) int {
 // result slot, pre-split RNGs, concurrency-safe caches). If any fn panics,
 // For waits for the remaining workers and re-panics the first panic value
 // in the caller's goroutine, matching a serial loop's behaviour.
-// Gather runs fn(p) for every partition p in [0, parts) — concurrently,
-// under For's scheduling and panic semantics — and concatenates the
-// per-partition slices in partition order. Because each partition's
-// result lands in its own slot and the concatenation order is the
-// partition index, the output is bit-identical at any worker count: the
-// parallel simulation core (sharded caches, partitioned event wheels,
-// the partitioned session world) leans on exactly this property for its
-// deterministic merge step.
-func Gather[T any](workers, parts int, fn func(p int) []T) []T {
-	if parts <= 0 {
-		return nil
-	}
-	chunks := make([][]T, parts)
-	For(workers, parts, func(p int) { chunks[p] = fn(p) })
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	out := make([]T, 0, total)
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
-	return out
-}
-
 func For(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
