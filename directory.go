@@ -1089,6 +1089,7 @@ func (d *Directory) step(now time.Time) {
 	// Refresh the overload tier once per tick; the packet path reads the
 	// cached value until the next recount.
 	d.computeDegradeLocked(now)
+	d.admit.SweepBuckets(now)
 	// Announce due sessions in sorted key order, not map order: packet
 	// transmission order is observable (it drives receivers' clash timing
 	// and any fault-injecting transport's RNG draws), so it must be

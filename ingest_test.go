@@ -259,18 +259,25 @@ func TestCreateSessionBatchPartialFailureMatchesGolden(t *testing.T) {
 // origin for the batch-ingest tests.
 func batchAnnouncePacket(t *testing.T, origin string, id uint64) []byte {
 	t.Helper()
+	return announceWire(t, netip.MustParseAddr(origin), id, netip.AddrFrom4([4]byte{224, 2, 128, byte(id)}))
+}
+
+// announceWire marshals a valid SAP announcement of session id from
+// origin at group.
+func announceWire(tb testing.TB, origin netip.Addr, id uint64, group netip.Addr) []byte {
+	tb.Helper()
 	desc := &session.Description{
 		ID:      id,
 		Version: 1,
-		Origin:  netip.MustParseAddr(origin),
+		Origin:  origin,
 		Name:    fmt.Sprintf("batch-%s-%d", origin, id),
-		Group:   netip.AddrFrom4([4]byte{224, 2, 128, byte(id)}),
+		Group:   group,
 		TTL:     127,
 		Media:   []session.Media{{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"}},
 	}
 	payload, err := desc.MarshalSDP()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	pkt := sap.Packet{
 		Type:      sap.Announce,
@@ -280,9 +287,53 @@ func batchAnnouncePacket(t *testing.T, origin string, id uint64) []byte {
 	}
 	wire, err := pkt.Marshal(nil)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return wire
+}
+
+// BenchmarkHandleBatch feeds 32-datagram batches of unchanged
+// re-announcements through HandleBatch with 2k and 20k sessions cached
+// (ten per origin) and reports the cost per datagram. Cache size is the
+// only difference between the two, so per-datagram work that grows with
+// the cache shows as a ratio between them.
+func BenchmarkHandleBatch(b *testing.B) {
+	const depth = 32
+	for _, n := range []int{2000, 20000} {
+		b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
+			clk := newFakeClock()
+			d, err := New(Config{
+				Origin:    netip.MustParseAddr("10.255.255.1"),
+				Transport: transport.NewBus().Endpoint(),
+				Clock:     clk.Now,
+				Seed:      1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			ms := make([]transport.Message, n)
+			for i := range ms {
+				origin := netip.AddrFrom4([4]byte{10, 0, byte(i / 10 >> 8), byte(i / 10)})
+				group := netip.AddrFrom4([4]byte{224, 2, 128 + byte(i>>8), byte(i)})
+				ms[i] = transport.Message{Data: announceWire(b, origin, uint64(i+1), group)}
+			}
+			for i := 0; i < n; i += depth {
+				d.HandleBatch(ms[i:min(i+depth, n)])
+			}
+			if got := d.CacheSize(); got != n {
+				b.Fatalf("cached %d sessions, want %d", got, n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := i * depth % (n - n%depth)
+				clk.Advance(time.Millisecond)
+				d.HandleBatch(ms[off : off+depth])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*depth), "ns/dgram")
+		})
+	}
 }
 
 // HandleBatch (the epoch-batched ingest: parse the batch, then apply it

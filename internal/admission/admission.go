@@ -220,6 +220,20 @@ func (c *Controller) gcBuckets(now time.Time) {
 	}
 }
 
+// SweepBuckets drops every bucket that has refilled to OriginBurst by
+// now. Allow would bring such a bucket to exactly the state of a bucket
+// it creates afresh, so as long as later packets are charged at now or
+// after, dropping it changes no verdict and no RNG draw. The caller runs
+// it once per tick; it keeps the table at the origins heard within the
+// last refill period instead of every origin since the last reclaim.
+func (c *Controller) SweepBuckets(now time.Time) {
+	for a, b := range c.buckets { //mclint:maporder deletes only; refilled just reads the bucket
+		if refilled(b, now, c.cfg) >= c.cfg.OriginBurst {
+			delete(c.buckets, a)
+		}
+	}
+}
+
 // refilled projects a bucket's token count to now without mutating it.
 func refilled(b *bucket, now time.Time, cfg Config) float64 {
 	t := b.tokens
@@ -233,85 +247,130 @@ func refilled(b *bucket, now time.Time, cfg Config) float64 {
 }
 
 // evictionOrder sorts candidates into the deterministic eviction
-// preference: deletion tombstones first, then the longest-unheard, then
-// the smallest TTL scope (a narrowly scoped session matters to fewer
-// listeners), then lexical key so the order is total and replayable.
+// preference (see evictsBefore).
 func evictionOrder(cands []Candidate) []Candidate {
 	out := append([]Candidate(nil), cands...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Deleted != b.Deleted {
-			return a.Deleted
-		}
-		if !a.LastHeard.Equal(b.LastHeard) {
-			return a.LastHeard.Before(b.LastHeard)
-		}
-		if a.TTL != b.TTL {
-			return a.TTL < b.TTL
-		}
-		return a.Key < b.Key
-	})
+	sort.Slice(out, func(i, j int) bool { return evictsBefore(&out[i], &out[j]) })
 	return out
+}
+
+// evictsBefore is the eviction preference: deletion tombstones first,
+// then the longest-unheard, then the smallest TTL scope (a narrowly
+// scoped session matters to fewer listeners), then lexical key so the
+// order is total and replayable.
+func evictsBefore(a, b *Candidate) bool {
+	if a.Deleted != b.Deleted {
+		return a.Deleted
+	}
+	if !a.LastHeard.Equal(b.LastHeard) {
+		return a.LastHeard.Before(b.LastHeard)
+	}
+	if a.TTL != b.TTL {
+		return a.TTL < b.TTL
+	}
+	return a.Key < b.Key
 }
 
 // evictable reports whether an entry may be displaced by a newcomer:
 // only tombstones and entries whose announcer has gone quiet. Fresh live
 // state always wins over new state (drop-newest).
-func (c *Controller) evictable(e Candidate, now time.Time) bool {
+func (c *Controller) evictable(e *Candidate, now time.Time) bool {
 	return e.Deleted || now.Sub(e.LastHeard) > c.cfg.StaleAfter
 }
 
 // PlanNew decides the fate of a new session from origin given the current
 // cache population. Callers must exclude their own sessions from cands —
 // own state is never an eviction candidate.
+//
+// Each path evicts the first evictable candidates in eviction order until
+// its bound is met, so it selects just that many instead of sorting the
+// population: O(len(cands)) for the usual single eviction.
 func (c *Controller) PlanNew(cands []Candidate, origin netip.Addr, now time.Time) Decision {
 	var d Decision
-	ordered := evictionOrder(cands)
-	evicted := make(map[string]bool)
+	var skip []bool // candidates the quota path already evicted
 
 	if c.cfg.MaxPerOrigin > 0 {
 		mine := 0
-		for _, e := range cands {
-			if e.Origin == origin {
+		for i := range cands {
+			if cands[i].Origin == origin {
 				mine++
 			}
 		}
-		// Reclaim the origin's own stale/deleted entries before denying it.
-		for _, e := range ordered {
-			if mine < c.cfg.MaxPerOrigin {
-				break
-			}
-			if e.Origin == origin && c.evictable(e, now) && !evicted[e.Key] {
-				evicted[e.Key] = true
-				d.Evict = append(d.Evict, e.Key)
-				mine--
-			}
-		}
 		if mine >= c.cfg.MaxPerOrigin {
-			d.Outcome = DenyQuota
-			return d
+			// Reclaim the origin's own stale/deleted entries before denying it.
+			own := c.firstEvictable(cands, mine-c.cfg.MaxPerOrigin+1, now, func(i int) bool {
+				return cands[i].Origin == origin
+			})
+			if len(own) > 0 {
+				skip = make([]bool, len(cands))
+			}
+			for _, i := range own {
+				skip[i] = true
+				d.Evict = append(d.Evict, cands[i].Key)
+			}
+			if mine-len(own) >= c.cfg.MaxPerOrigin {
+				d.Outcome = DenyQuota
+				return d
+			}
 		}
 	}
 
 	if c.cfg.MaxSessions > 0 {
-		total := len(cands) - len(d.Evict)
-		for _, e := range ordered {
-			if total < c.cfg.MaxSessions {
-				break
+		if total := len(cands) - len(d.Evict); total >= c.cfg.MaxSessions {
+			more := c.firstEvictable(cands, total-c.cfg.MaxSessions+1, now, func(i int) bool {
+				return skip == nil || !skip[i]
+			})
+			for _, i := range more {
+				d.Evict = append(d.Evict, cands[i].Key)
 			}
-			if c.evictable(e, now) && !evicted[e.Key] {
-				evicted[e.Key] = true
-				d.Evict = append(d.Evict, e.Key)
-				total--
+			if total-len(more) >= c.cfg.MaxSessions {
+				d.Outcome = Shed
+				return d
 			}
-		}
-		if total >= c.cfg.MaxSessions {
-			d.Outcome = Shed
-			return d
 		}
 	}
 	d.Outcome = Admit
 	return d
+}
+
+// firstEvictable returns the indices of the first k evictable candidates
+// in eviction order among those keep accepts, in that order (all of them
+// if fewer qualify). A max-heap holds the best k seen so far, so the cost
+// is O(len(cands)·log k) and one comparison per candidate when k is 1.
+func (c *Controller) firstEvictable(cands []Candidate, k int, now time.Time, keep func(int) bool) []int {
+	after := func(i, j int) bool { return evictsBefore(&cands[j], &cands[i]) }
+	var h []int // max-heap: h[0] is the last of the best k
+	for i := range cands {
+		if !keep(i) || !c.evictable(&cands[i], now) {
+			continue
+		}
+		if len(h) < k {
+			h = append(h, i)
+			for j := len(h) - 1; j > 0 && after(h[j], h[(j-1)/2]); j = (j - 1) / 2 {
+				h[j], h[(j-1)/2] = h[(j-1)/2], h[j]
+			}
+			continue
+		}
+		if !evictsBefore(&cands[i], &cands[h[0]]) {
+			continue
+		}
+		h[0] = i
+		for j := 0; ; {
+			m := j
+			for _, ch := range [2]int{2*j + 1, 2*j + 2} {
+				if ch < len(h) && after(h[ch], h[m]) {
+					m = ch
+				}
+			}
+			if m == j {
+				break
+			}
+			h[j], h[m] = h[m], h[j]
+			j = m
+		}
+	}
+	sort.Slice(h, func(a, b int) bool { return evictsBefore(&cands[h[a]], &cands[h[b]]) })
+	return h
 }
 
 // PlanNewGrouped is PlanNew over the concatenation of candidate groups.

@@ -73,8 +73,8 @@ type Action struct {
 type Observation struct {
 	Key  SessionKey
 	Addr mcast.Addr
-	TTL  mcast.TTL
-	At   float64 // receipt time, milliseconds
+	TTL  mcast.TTL // announced scope; clashes are decided on Addr alone
+	At   float64   // receipt time, milliseconds
 }
 
 // TrackerConfig parameterises a Tracker.
@@ -90,11 +90,11 @@ type TrackerConfig struct {
 }
 
 type cacheEntry struct {
+	key          SessionKey
+	next         *cacheEntry // next entry at the same address (Tracker.byAddr)
 	addr         mcast.Addr
-	ttl          mcast.TTL
-	firstSeen    float64
-	lastSeen     float64
 	owned        bool
+	firstSeen    float64
 	ownFirstSent float64
 }
 
@@ -109,18 +109,31 @@ type pendingDefense struct {
 // announcement observations (including echoes of the site's own
 // announcements) and produces Actions. Not safe for concurrent use; the
 // directory agent serialises access.
+//
+// Per-packet work is proportional to the entries sharing the observed
+// address and to the open defenses and defense counters naming the
+// observed key, never to the cache size: every lookup goes through one of
+// the indices below.
 type Tracker struct {
-	cfg     TrackerConfig
-	rng     *stats.RNG
-	cache   map[SessionKey]*cacheEntry
-	pending []*pendingDefense
-	// defenses counts phase-1 re-announcements per (ours, intruder) pair,
-	// for the post-partition tie-break (see checkClash).
-	defenses map[defensePair]int
-}
-
-type defensePair struct {
-	ours, intruder SessionKey
+	cfg   TrackerConfig
+	rng   *stats.RNG
+	cache map[SessionKey]*cacheEntry
+	// byAddr heads, per address, the chain of cache entries holding it,
+	// linked through cacheEntry.next.
+	byAddr  map[mcast.Addr]*cacheEntry
+	pending []*pendingDefense // scheduling order, which Due keeps
+	// byDefended and byIntruder index the open (not done) defenses in
+	// pending by each of their two keys.
+	byDefended, byIntruder map[SessionKey][]*pendingDefense
+	// defenses counts phase-1 re-announcements of our session against an
+	// intruder, defenses[ours][intruder], for the post-partition
+	// tie-break (see checkClash); defendedBy is its reverse index,
+	// defendedBy[intruder] holding every such ours.
+	defenses   map[SessionKey]map[SessionKey]int
+	defendedBy map[SessionKey]map[SessionKey]struct{}
+	// visits counts the index entries walked by the lookups above, for
+	// the complexity tests.
+	visits int
 }
 
 // NewTracker returns a Tracker. rng drives the suppression delays.
@@ -132,20 +145,26 @@ func NewTracker(cfg TrackerConfig, rng *stats.RNG) *Tracker {
 		panic("clash: negative RecentWindow")
 	}
 	return &Tracker{
-		cfg:      cfg,
-		rng:      rng,
-		cache:    make(map[SessionKey]*cacheEntry),
-		defenses: make(map[defensePair]int),
+		cfg:        cfg,
+		rng:        rng,
+		cache:      make(map[SessionKey]*cacheEntry),
+		byAddr:     make(map[mcast.Addr]*cacheEntry),
+		byDefended: make(map[SessionKey][]*pendingDefense),
+		byIntruder: make(map[SessionKey][]*pendingDefense),
+		defenses:   make(map[SessionKey]map[SessionKey]int),
+		defendedBy: make(map[SessionKey]map[SessionKey]struct{}),
 	}
 }
 
 // AnnounceOwn records that this site announced its own session. Call it
-// for the first announcement and for address changes.
-func (t *Tracker) AnnounceOwn(key SessionKey, addr mcast.Addr, ttl mcast.TTL, at float64) {
+// for the first announcement and for address changes. The TTL, like
+// Observation.TTL, plays no part in the clash rules and is not kept.
+func (t *Tracker) AnnounceOwn(key SessionKey, addr mcast.Addr, _ mcast.TTL, at float64) {
 	e := t.cache[key]
 	if e == nil {
-		e = &cacheEntry{firstSeen: at, ownFirstSent: at}
+		e = &cacheEntry{key: key, firstSeen: at, ownFirstSent: at}
 		t.cache[key] = e
+		t.link(e)
 	}
 	if !e.owned {
 		e.owned = true
@@ -155,21 +174,19 @@ func (t *Tracker) AnnounceOwn(key SessionKey, addr mcast.Addr, ttl mcast.TTL, at
 		// Address change: any defense waiting on this key moving is done.
 		t.cancelDefensesForIntruder(key)
 		t.clearDefenseCounters(key)
+		t.move(e, addr)
 	}
-	e.addr = addr
-	e.ttl = ttl
-	e.lastSeen = at
 }
 
 // Forget drops a session (deleted or expired) from the cache.
 func (t *Tracker) Forget(key SessionKey) {
-	delete(t.cache, key)
-	t.clearDefenseCounters(key)
-	for _, p := range t.pending {
-		if p.defended == key || p.intruder == key {
-			p.done = true
-		}
+	if e := t.cache[key]; e != nil {
+		t.unlink(e)
+		delete(t.cache, key)
 	}
+	t.clearDefenseCounters(key)
+	t.cancelDefensesFor(key)
+	t.cancelDefensesForIntruder(key)
 }
 
 // CachedAddr returns the cached address of a session.
@@ -178,6 +195,40 @@ func (t *Tracker) CachedAddr(key SessionKey) (mcast.Addr, bool) {
 		return e.addr, true
 	}
 	return 0, false
+}
+
+// link puts e at the head of its address's chain.
+func (t *Tracker) link(e *cacheEntry) {
+	e.next = t.byAddr[e.addr]
+	t.byAddr[e.addr] = e
+}
+
+// unlink takes e out of its address's chain.
+func (t *Tracker) unlink(e *cacheEntry) {
+	t.visits++
+	if head := t.byAddr[e.addr]; head == e {
+		if e.next == nil {
+			delete(t.byAddr, e.addr)
+		} else {
+			t.byAddr[e.addr] = e.next
+		}
+	} else {
+		for p := head; p != nil; p = p.next {
+			t.visits++
+			if p.next == e {
+				p.next = e.next
+				break
+			}
+		}
+	}
+	e.next = nil
+}
+
+// move re-files e under a new address.
+func (t *Tracker) move(e *cacheEntry, addr mcast.Addr) {
+	t.unlink(e)
+	e.addr = addr
+	t.link(e)
 }
 
 // Observe processes a received announcement and returns any immediate
@@ -194,14 +245,12 @@ func (t *Tracker) Observe(obs Observation) []Action {
 			// The session moved to a new address.
 			t.cancelDefensesForIntruder(obs.Key)
 			t.clearDefenseCounters(obs.Key)
+			t.move(e, obs.Addr)
 		} else {
 			// Re-announcement at the same address: its owner is alive, so
 			// nobody needs to defend it on its behalf.
 			t.cancelDefensesFor(obs.Key)
 		}
-		e.addr = obs.Addr
-		e.ttl = obs.TTL
-		e.lastSeen = obs.At
 		switch {
 		case e.owned:
 			actions = append(actions, t.reactAsOwner(e, obs)...)
@@ -220,12 +269,9 @@ func (t *Tracker) Observe(obs Observation) []Action {
 	}
 
 	// New session.
-	t.cache[obs.Key] = &cacheEntry{
-		addr:      obs.Addr,
-		ttl:       obs.TTL,
-		firstSeen: obs.At,
-		lastSeen:  obs.At,
-	}
+	e := &cacheEntry{key: obs.Key, addr: obs.Addr, firstSeen: obs.At}
+	t.cache[obs.Key] = e
+	t.link(e)
 	return t.checkClash(obs, false)
 }
 
@@ -236,26 +282,27 @@ func (t *Tracker) reactAsOwner(_ *cacheEntry, _ Observation) []Action { return n
 // reacts per the three phases. With ownedOnly set, only owner reactions
 // (phases 1–2) fire; third-party defenses are not (re-)scheduled.
 func (t *Tracker) checkClash(obs Observation, ownedOnly bool) []Action {
-	// Filter in map order (the predicate is per-entry, so order cannot
-	// matter), then sort the clashing keys: reaction order is observable
+	// Walk the address's chain (its order is an accident of history),
+	// then sort the clashing entries by key: reaction order is observable
 	// — it fixes both the returned action order and the RNG draw order of
-	// phase-3 suppression delays — and must not inherit Go's per-run map
-	// iteration order.
-	var clashing []SessionKey
-	for key, e := range t.cache {
-		if key == obs.Key || e.addr != obs.Addr {
+	// phase-3 suppression delays — and must be a function of the state
+	// alone.
+	var clashing []*cacheEntry
+	for e := t.byAddr[obs.Addr]; e != nil; e = e.next {
+		t.visits++
+		if e.key == obs.Key || (ownedOnly && !e.owned) {
 			continue
 		}
-		if ownedOnly && !e.owned {
-			continue
-		}
-		clashing = append(clashing, key)
+		clashing = append(clashing, e)
 	}
-	sort.Slice(clashing, func(i, j int) bool { return clashing[i] < clashing[j] })
+	if len(clashing) == 0 {
+		return nil
+	}
+	sort.Slice(clashing, func(i, j int) bool { return clashing[i].key < clashing[j].key })
 
 	var actions []Action
-	for _, key := range clashing {
-		e := t.cache[key]
+	for _, e := range clashing {
+		key := e.key
 		switch {
 		case e.owned && obs.At-e.ownFirstSent > t.cfg.RecentWindow:
 			// Phase 1: our long-standing session is being squatted — defend.
@@ -267,9 +314,7 @@ func (t *Tracker) checkClash(obs Observation, ownedOnly bool) []Action {
 			// deterministic tie-break both sides compute identically —
 			// the lexicographically larger session key moves (the rule
 			// MADCAP-era allocators converged on).
-			pair := defensePair{ours: key, intruder: obs.Key}
-			t.defenses[pair]++
-			if t.defenses[pair] > 2 && key > obs.Key {
+			if t.countDefense(key, obs.Key) > 2 && key > obs.Key {
 				actions = append(actions, Action{Kind: ActionModifyAddress, Key: key, DueAt: obs.At})
 			} else {
 				actions = append(actions, Action{Kind: ActionResendOwn, Key: key, DueAt: obs.At})
@@ -281,54 +326,112 @@ func (t *Tracker) checkClash(obs Observation, ownedOnly bool) []Action {
 			// Phase 3: third party. Defend the *older* entry after a
 			// suppression delay, unless already pending for this pair.
 			older, newer := key, obs.Key
-			if t.cache[older].firstSeen > t.cache[newer].firstSeen {
+			if e.firstSeen > t.cache[newer].firstSeen {
 				older, newer = newer, older
 			}
 			if !t.hasPending(older, newer) {
-				t.pending = append(t.pending, &pendingDefense{
+				p := &pendingDefense{
 					defended: older,
 					intruder: newer,
 					dueAt:    obs.At + t.cfg.Delay.Sample(t.rng),
-				})
+				}
+				t.pending = append(t.pending, p)
+				t.byDefended[older] = append(t.byDefended[older], p)
+				t.byIntruder[newer] = append(t.byIntruder[newer], p)
 			}
 		}
 	}
 	return actions
 }
 
+// countDefense records one more phase-1 defense of ours against intruder
+// and returns the pair's count.
+func (t *Tracker) countDefense(ours, intruder SessionKey) int {
+	against := t.defenses[ours]
+	if against == nil {
+		against = make(map[SessionKey]int)
+		t.defenses[ours] = against
+	}
+	by := t.defendedBy[intruder]
+	if by == nil {
+		by = make(map[SessionKey]struct{})
+		t.defendedBy[intruder] = by
+	}
+	by[ours] = struct{}{}
+	against[intruder]++
+	return against[intruder]
+}
+
 func (t *Tracker) hasPending(defended, intruder SessionKey) bool {
-	for _, p := range t.pending {
-		if !p.done && p.defended == defended && p.intruder == intruder {
+	for _, p := range t.byDefended[defended] {
+		t.visits++
+		if p.intruder == intruder {
 			return true
 		}
 	}
 	return false
 }
 
+// cancelDefensesFor closes every open defense of the session defended.
 func (t *Tracker) cancelDefensesFor(defended SessionKey) {
-	for _, p := range t.pending {
-		if p.defended == defended {
-			p.done = true
-		}
+	open := t.byDefended[defended]
+	delete(t.byDefended, defended)
+	for _, p := range open {
+		p.done = true
+		t.dropDefense(t.byIntruder, p.intruder, p)
 	}
 }
 
+// cancelDefensesForIntruder closes every open defense against intruder.
 func (t *Tracker) cancelDefensesForIntruder(intruder SessionKey) {
-	for _, p := range t.pending {
-		if p.intruder == intruder {
-			p.done = true
+	open := t.byIntruder[intruder]
+	delete(t.byIntruder, intruder)
+	for _, p := range open {
+		p.done = true
+		t.dropDefense(t.byDefended, p.defended, p)
+	}
+}
+
+// dropDefense removes p from index[key]. The index's order is
+// unobservable (cancelling marks, hasPending only tests membership), so
+// the last element fills the gap.
+func (t *Tracker) dropDefense(index map[SessionKey][]*pendingDefense, key SessionKey, p *pendingDefense) {
+	open := index[key]
+	for i, q := range open {
+		t.visits++
+		if q != p {
+			continue
 		}
+		last := len(open) - 1
+		open[i], open[last] = open[last], nil
+		if open = open[:last]; len(open) == 0 {
+			delete(index, key)
+		} else {
+			index[key] = open
+		}
+		return
 	}
 }
 
 // clearDefenseCounters resets phase-1 tie-break state involving key, used
 // whenever that session moves or vanishes (the stand-off is over).
 func (t *Tracker) clearDefenseCounters(key SessionKey) {
-	for pair := range t.defenses {
-		if pair.ours == key || pair.intruder == key {
-			delete(t.defenses, pair)
+	for intruder := range t.defenses[key] {
+		t.visits++
+		by := t.defendedBy[intruder]
+		if delete(by, key); len(by) == 0 {
+			delete(t.defendedBy, intruder)
 		}
 	}
+	delete(t.defenses, key)
+	for ours := range t.defendedBy[key] {
+		t.visits++
+		against := t.defenses[ours]
+		if delete(against, key); len(against) == 0 {
+			delete(t.defenses, ours)
+		}
+	}
+	delete(t.defendedBy, key)
 }
 
 // Due returns the phase-3 defenses whose suppression delay has elapsed
@@ -343,6 +446,8 @@ func (t *Tracker) Due(now float64) []Action {
 			// drop
 		case p.dueAt <= now:
 			p.done = true
+			t.dropDefense(t.byDefended, p.defended, p)
+			t.dropDefense(t.byIntruder, p.intruder, p)
 			out = append(out, Action{Kind: ActionDefendOther, Key: p.defended, DueAt: p.dueAt})
 		default:
 			kept = append(kept, p)

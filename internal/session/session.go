@@ -6,6 +6,7 @@ package session
 import (
 	"fmt"
 	"net/netip"
+	"strconv"
 	"time"
 
 	"sessiondir/internal/mcast"
@@ -53,8 +54,17 @@ type Description struct {
 // Key returns the stable identity of the session: origin + id. Address
 // changes (clash resolution) do not change the key; description edits
 // bump Version instead.
+//
+// The text is fmt.Sprintf("%s/%d", d.Origin, d.ID), formatted without fmt
+// in one allocation: the key is built for every received announcement.
 func (d *Description) Key() string {
-	return fmt.Sprintf("%s/%d", d.Origin, d.ID)
+	if !d.Origin.IsValid() {
+		return fmt.Sprintf("%s/%d", d.Origin, d.ID) // "invalid IP/…"; AppendTo writes nothing
+	}
+	var buf [64]byte
+	b := d.Origin.AppendTo(buf[:0])
+	b = append(b, '/')
+	return string(strconv.AppendUint(b, d.ID, 10))
 }
 
 // Validate checks the description is announceable.

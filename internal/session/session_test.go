@@ -1,6 +1,8 @@
 package session
 
 import (
+	"fmt"
+	"math"
 	"net/netip"
 	"reflect"
 	"strings"
@@ -27,6 +29,39 @@ func sampleDesc() *Description {
 			{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"},
 			{Type: "video", Port: 20002, Proto: "RTP/AVP", Format: "31"},
 		},
+	}
+}
+
+func TestKeyMatchesSprintf(t *testing.T) {
+	longZone := strings.Repeat("z", 80) // past Key's stack buffer
+	for _, tc := range []struct {
+		origin netip.Addr
+		id     uint64
+	}{
+		{netip.MustParseAddr("10.0.0.1"), 1},
+		{netip.MustParseAddr("255.255.255.255"), 0},
+		{netip.MustParseAddr("2001:db8::1"), math.MaxUint64},
+		{netip.MustParseAddr("fe80::1%eth0"), 42},
+		{netip.MustParseAddr("::ffff:192.0.2.7"), 7},
+		{netip.MustParseAddr("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff").WithZone(longZone), math.MaxUint64},
+		{netip.Addr{}, 0},
+		{netip.Addr{}, math.MaxUint64},
+	} {
+		d := Description{Origin: tc.origin, ID: tc.id}
+		if got, want := d.Key(), fmt.Sprintf("%s/%d", tc.origin, tc.id); got != want {
+			t.Errorf("Key() = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestKeyAllocs pins Key at one allocation, the returned string.
+func TestKeyAllocs(t *testing.T) {
+	d := sampleDesc()
+	d.Origin = netip.MustParseAddr("2001:db8:85a3::8a2e:370:7334")
+	d.ID = math.MaxUint64
+	var key string
+	if allocs := testing.AllocsPerRun(1000, func() { key = d.Key() }); allocs != 1 {
+		t.Fatalf("Key allocates %v times per call, want 1 (%s)", allocs, key)
 	}
 }
 
