@@ -10,8 +10,9 @@
 // Quick scale (default) finishes in minutes; -full reproduces the paper's
 // parameter ranges and can run for hours, as the originals did.
 //
-// -workers sets the experiment engine's concurrency (0 = GOMAXPROCS,
-// 1 = serial); output is bit-identical at any worker count. -json appends
+// -workers sets how many independent trials the experiment engine runs
+// at once (0 = GOMAXPROCS, 1 = serial); output is bit-identical at any
+// worker count. Each occupancy run is one serial simulation. -json appends
 // a machine-readable benchmark record — wall time per experiment plus
 // allocation micro-benchmarks and a registry snapshot from a seeded fleet
 // scenario — for tracking perf across commits.
@@ -50,8 +51,8 @@ import (
 
 	"sessiondir"
 	"sessiondir/internal/allocator"
-	"sessiondir/internal/experiments"
 	"sessiondir/internal/announce"
+	"sessiondir/internal/experiments"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/obs"
 	"sessiondir/internal/sap"
@@ -93,7 +94,6 @@ type occupancyRecord struct {
 	Algorithm    string  `json:"algorithm"`
 	Sessions     int     `json:"sessions"`
 	SpaceSize    uint32  `json:"space_size"`
-	Partitions   int     `json:"partitions"`
 	Placed       int     `json:"placed"`
 	FillClashes  int     `json:"fill_clashes"`
 	ChurnClashes int     `json:"churn_clashes"`
@@ -789,7 +789,7 @@ func main() {
 		id       = flag.String("experiment", "all", "experiment id (see -list), comma-separated ids, or 'all'")
 		full     = flag.Bool("full", false, "paper-scale parameters (slow)")
 		outDir   = flag.String("outdir", "", "also write each experiment's output to <outdir>/<id>.txt")
-		workers  = flag.Int("workers", 0, "engine concurrency: 0 = GOMAXPROCS, 1 = serial (output identical either way)")
+		workers  = flag.Int("workers", 0, "concurrent trials: 0 = GOMAXPROCS, 1 = serial (output identical either way; each occupancy run is serial)")
 		jsonPath = flag.String("json", "", "write a machine-readable benchmark record (wall times + allocation micro-benches) to this file")
 		merge    = flag.Bool("merge", false, "merge into an existing -json file instead of replacing it: figures merge by id, occupancy is replaced only when this run regenerated it")
 		compare  = flag.Bool("compare", false, "compare two benchmark records: mcbench -compare old.json new.json [-tolerance 25%] [-fail-ratio 2] [-tier quick|full]")
@@ -869,7 +869,6 @@ func main() {
 						Algorithm:    res.Algorithm,
 						Sessions:     res.Sessions,
 						SpaceSize:    res.SpaceSize,
-						Partitions:   res.Partitions,
 						Placed:       res.Placed,
 						FillClashes:  res.FillClashes,
 						ChurnClashes: res.ChurnClashes,

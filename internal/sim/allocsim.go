@@ -77,24 +77,20 @@ func (w *World) VisibleAt(observer topology.NodeID) []allocator.SessionInfo {
 // any live session: same address and intersecting scope sets, so that
 // somewhere in the network both sessions' data would arrive on one group.
 func (w *World) Clashes(origin topology.NodeID, ttl mcast.TTL, addr mcast.Addr) bool {
-	reach := w.Cache.Reach(origin, ttl)
-	for i := range w.Sessions {
-		if w.Sessions[i].Addr == addr && w.Sessions[i].reach.Intersects(reach) {
-			return true
-		}
-	}
-	return false
+	return w.clashWith(w.Cache.Reach(origin, ttl), addr, -1) >= 0
 }
 
-// clashesAt returns the index of a live session clashing with session i,
+// clashIndex returns the index of a live session clashing with session i,
 // or -1.
 func (w *World) clashIndex(i int) int {
-	s := &w.Sessions[i]
+	return w.clashWith(w.Sessions[i].reach, w.Sessions[i].Addr, i)
+}
+
+// clashWith returns the index of the first live session other than skip
+// that uses addr with a scope intersecting reach, or -1.
+func (w *World) clashWith(reach *topology.NodeSet, addr mcast.Addr, skip int) int {
 	for j := range w.Sessions {
-		if j == i {
-			continue
-		}
-		if w.Sessions[j].Addr == s.Addr && w.Sessions[j].reach.Intersects(s.reach) {
+		if j != skip && w.Sessions[j].Addr == addr && w.Sessions[j].reach.Intersects(reach) {
 			return j
 		}
 	}
